@@ -1,6 +1,6 @@
 # Convenience targets for the DCMT reproduction.
 
-.PHONY: install test bench bench-all report quickstart lint lint-clean verify verify-robustness verify-callbacks verify-ingest verify-lifecycle verify-fleet verify-plan verify-stream verify-parallel verify-month
+.PHONY: install test bench bench-all perfbench report quickstart lint lint-clean verify verify-robustness verify-callbacks verify-ingest verify-lifecycle verify-fleet verify-plan verify-stream verify-parallel verify-month
 
 install:
 	pip install -e . || python setup.py develop
@@ -79,6 +79,16 @@ verify-month:
 # speedup over the pre-optimisation engine, and a profiled op breakdown.
 bench:
 	PYTHONPATH=src pytest benchmarks/test_throughput.py --benchmark-only -q
+
+# The repository benchmark (perfbench/README.md): one workload, one
+# seed, tracing off (end-to-end metrics) or on (per-layer split), e.g.
+#   make perfbench W=serve-mixed SEED=97 SECONDS=20 TRACE=1
+W ?= serve-mixed
+SEED ?= 97
+SECONDS ?= 20
+TRACE ?= 0
+perfbench:
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds $(SECONDS) --trace $(TRACE)
 
 # The full benchmark suite (paper tables/figures + throughput).
 bench-all:

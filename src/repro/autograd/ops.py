@@ -66,6 +66,39 @@ def _instrumented(fn):
     return wrapper
 
 
+# ----------------------------------------------------------------------
+# Array kernels: the numpy body of every op whose forward is more than
+# one ufunc.  The eager ops below and the frozen inference program
+# (:mod:`repro.models.frozen`) both call these, so the two issue the
+# same ufuncs in the same order and agree to the last bit.
+# ----------------------------------------------------------------------
+def sigmoid_array(data: np.ndarray) -> np.ndarray:
+    """Branch-free stable sigmoid (see :func:`sigmoid`)."""
+    e = np.exp(-np.abs(data))
+    t = 1.0 / (1.0 + e)
+    return np.where(data >= 0, t, 1.0 - t)
+
+
+def leaky_relu_array(data: np.ndarray, negative_slope: float) -> np.ndarray:
+    return np.where(data > 0, data, negative_slope * data)
+
+
+def affine_array(
+    x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]
+) -> np.ndarray:
+    """``x @ weight + bias`` with the bias added in place."""
+    out = x @ weight
+    if bias is not None:
+        out += bias
+    return out
+
+
+def softmax_array(data: np.ndarray, axis: int) -> np.ndarray:
+    shifted = data - data.max(axis=axis, keepdims=True)
+    exps = np.exp(shifted)
+    return exps / exps.sum(axis=axis, keepdims=True)
+
+
 @_instrumented
 def exp(x: ArrayLike) -> Tensor:
     """Elementwise exponential."""
@@ -122,10 +155,7 @@ def sigmoid(x: ArrayLike) -> Tensor:
     x = _as_tensor(x)
     if _planmode._REPLAY is not None:
         return _planmode._REPLAY.run("sigmoid", (x,))
-    data = x.data
-    e = np.exp(-np.abs(data))
-    t = 1.0 / (1.0 + e)
-    out_data = np.where(data >= 0, t, 1.0 - t)
+    out_data = sigmoid_array(x.data)
 
     def backward(grad: np.ndarray, a=x, out=out_data) -> Iterable:
         return ((a, grad * out * (1.0 - out), True),)
@@ -177,7 +207,7 @@ def leaky_relu(x: ArrayLike, negative_slope: float = 0.01) -> Tensor:
     x = _as_tensor(x)
     if _planmode._REPLAY is not None:
         return _planmode._REPLAY.run("leaky_relu", (x,), (negative_slope,))
-    out_data = np.where(x.data > 0, x.data, negative_slope * x.data)
+    out_data = leaky_relu_array(x.data, negative_slope)
 
     def backward(grad: np.ndarray, a=x, slope=negative_slope) -> Iterable:
         return ((a, grad * np.where(a.data > 0, 1.0, slope), True),)
@@ -294,11 +324,11 @@ def affine(x: ArrayLike, weight: ArrayLike, bias: Optional[ArrayLike] = None) ->
         raise ValueError(f"affine bias must be 1-D, got shape {b.shape}")
     if _planmode._REPLAY is not None:
         return _planmode._REPLAY.run("affine", (x, weight, b))
-    out_data = x.data @ weight.data
     if b is None:
+        out_data = affine_array(x.data, weight.data, None)
         parents = (x, weight)
     else:
-        out_data += b.data
+        out_data = affine_array(x.data, weight.data, b.data)
         parents = (x, weight, b)
 
     def backward(grad: np.ndarray, a=x, w=weight, bb=b) -> Iterable:
@@ -346,9 +376,7 @@ def sigmoid_bce(
 
     def backward(grad: np.ndarray, a=logits, yy=y, s=probs) -> Iterable:
         if s is None:
-            e = np.exp(-np.abs(a.data))
-            t = 1.0 / (1.0 + e)
-            s = np.where(a.data >= 0, t, 1.0 - t)
+            s = sigmoid_array(a.data)
         return ((a, (s - yy) * grad, True),)
 
     out = Tensor._make(out_data, (logits,), backward)
@@ -445,9 +473,7 @@ def softmax(x: ArrayLike, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
     if _planmode._REPLAY is not None:
         return _planmode._REPLAY.run("softmax", (x,), (axis,))
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    out_data = exps / exps.sum(axis=axis, keepdims=True)
+    out_data = softmax_array(x.data, axis)
 
     def backward(grad: np.ndarray, a=x, out=out_data, ax=axis) -> Iterable:
         dot = (grad * out).sum(axis=ax, keepdims=True)

@@ -557,9 +557,10 @@ class Tensor:
 
         out = Tensor._make(out_data, (self,), backward)
         if _planmode._TRACER is not None:
-            # Recorded so the compiler sees it and rejects the plan
-            # (arbitrary fancy indexing is not lowered).
-            _planmode._TRACER.record("getitem", out, (self,))
+            # The plan compiler rejects this op (arbitrary fancy
+            # indexing is not lowered); the frozen inference program
+            # replays the recorded index.
+            _planmode._TRACER.record("getitem", out, (self,), (index,))
         return out
 
     # ------------------------------------------------------------------

@@ -13,7 +13,8 @@ Three groups:
 
 The DCMT family lives in :mod:`repro.core`.  All models share the
 :class:`~repro.models.base.MultiTaskModel` interface: ``loss(batch)``
-for training and ``predict(batch)`` for inference.
+for training and ``predict(batch)`` for inference; :func:`freeze` lowers
+a model to a :class:`~repro.models.frozen.FrozenScorer` for serving.
 """
 
 from repro.models.base import ModelConfig, MultiTaskModel, Predictions
@@ -27,6 +28,7 @@ from repro.models.ple import PLE
 from repro.models.aitm import AITM
 from repro.models.escm2 import ESCM2
 from repro.models.registry import MODEL_REGISTRY, ModelInfo, build_model
+from repro.models.frozen import FrozenScorer, freeze
 
 __all__ = [
     "ModelConfig",
@@ -45,4 +47,6 @@ __all__ = [
     "MODEL_REGISTRY",
     "ModelInfo",
     "build_model",
+    "FrozenScorer",
+    "freeze",
 ]

@@ -99,15 +99,27 @@ class Embedding(Module):
     def forward(self, indices: np.ndarray) -> Tensor:
         """Gather embedding rows for integer ``indices`` of any shape."""
         idx = np.asarray(indices)
-        if not _TRUSTED_INDICES and idx.size and self._out_of_range(idx):
-            raise IndexError(
-                f"index out of range for vocabulary of size {self.num_embeddings}"
-            )
+        if not _TRUSTED_INDICES:
+            check_indices(idx, self.num_embeddings)
         return ops.take_rows(self.weight, idx)
 
-    def _out_of_range(self, idx: np.ndarray) -> bool:
-        if idx.dtype == np.int64 and idx.flags.c_contiguous:
-            # Single pass: reinterpreting as uint64 maps negatives to
-            # huge values, so one comparison catches both bounds.
-            return bool((idx.view(np.uint64) >= self.num_embeddings).any())
-        return bool(idx.min() < 0 or idx.max() >= self.num_embeddings)
+
+def check_indices(idx: np.ndarray, num_embeddings: int) -> None:
+    """Raise ``IndexError`` unless every id is in ``[0, num_embeddings)``.
+
+    The one bounds check of every embedding lookup, shared by
+    :meth:`Embedding.forward` and the frozen inference program so both
+    reject a bad id with the same message.
+    """
+    if not idx.size:
+        return
+    if idx.dtype == np.int64 and idx.flags.c_contiguous:
+        # Single pass: reinterpreting as uint64 maps negatives to huge
+        # values, so one comparison catches both bounds.
+        bad = (idx.view(np.uint64) >= num_embeddings).any()
+    else:
+        bad = idx.min() < 0 or idx.max() >= num_embeddings
+    if bad:
+        raise IndexError(
+            f"index out of range for vocabulary of size {num_embeddings}"
+        )

@@ -40,6 +40,7 @@ import numpy as np
 from repro.data.dataset import Batch
 from repro.data.synthetic import SyntheticScenario
 from repro.models.base import MultiTaskModel
+from repro.models.frozen import freeze
 from repro.reliability.circuit import CircuitBreaker
 from repro.reliability.config import AdmissionPolicy, ServingPolicy
 from repro.reliability.drift import DriftSentinel
@@ -216,8 +217,15 @@ def _validate_scoring_model(model, role: str) -> None:
 
 
 def _check_probabilities(values: np.ndarray, what: str) -> None:
-    """Sanitizer core: finite and inside [0, 1], or the scorer failed."""
+    """Sanitizer core: finite and inside [0, 1], or the scorer failed.
+
+    The fused range test is the whole cost on a healthy page (NaN fails
+    every comparison, so it fails the test too); only a failing array
+    pays for the diagnosis that picks the message.
+    """
     values = np.asarray(values)
+    if ((values >= 0.0) & (values <= 1.0)).all():
+        return
     if not np.all(np.isfinite(values)):
         raise ScoringUnavailableError(f"sanitizer: non-finite {what}")
     if np.any(values < 0.0) or np.any(values > 1.0):
@@ -225,7 +233,13 @@ def _check_probabilities(values: np.ndarray, what: str) -> None:
 
 
 class RankingService:
-    """Serves top-k pages for one model against one scenario world."""
+    """Serves top-k pages for one model against one scenario world.
+
+    Pages are scored through :class:`~repro.models.frozen.FrozenScorer`
+    programs lowered from ``model`` and ``ctr_provider``, bit-exact with
+    their ``predict``.  Assigning either attribute (``swap_model`` does)
+    lowers the new model, so a scorer never outlives its model.
+    """
 
     def __init__(
         self,
@@ -279,16 +293,37 @@ class RankingService:
         #: Deterministic shed pattern position (SHEDDING state).
         self._shed_phase = 0
 
+    @property
+    def model(self) -> MultiTaskModel:
+        """The primary model; pages are scored by its frozen program."""
+        return self._model
+
+    @model.setter
+    def model(self, model: MultiTaskModel) -> None:
+        self._scorer = freeze(model)
+        self._model = model
+
+    @property
+    def ctr_provider(self) -> Optional[MultiTaskModel]:
+        """Optional shared CTR model (see ``__init__``), scored frozen."""
+        return self._ctr_provider
+
+    @ctr_provider.setter
+    def ctr_provider(self, model: Optional[MultiTaskModel]) -> None:
+        self._ctr_scorer = None if model is None else freeze(model)
+        self._ctr_provider = model
+
     # ------------------------------------------------------------------
     def swap_model(self, model: MultiTaskModel) -> None:
         """Replace the primary scorer in place (promotion / rollback).
 
         The incoming model is validated exactly like the constructor's
         (a diverged or half-loaded model is refused before it can take
-        traffic), the breaker is reset so the new model starts with a
-        clean failure budget, and the drift sentinel's serving window is
-        cleared so the old model's prediction distribution cannot trip
-        (or mask) drift on the new one.  Stats and health transitions
+        traffic) and lowered to its own frozen scorer, the breaker is
+        reset so the new model starts with a clean failure budget, and
+        the drift sentinel's serving window is cleared so the old
+        model's prediction distribution cannot trip (or mask) drift on
+        the new one.  Stats and health transitions
         are retained -- a swap is an event inside one serving timeline,
         not a new service.
         """
@@ -348,10 +383,10 @@ class RankingService:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(scores, cvr_predictions)`` for the candidate items."""
         batch = self._features(user, candidates, rng)
-        preds = self.model.predict(batch)
+        preds = self._scorer(batch)
         ctr = preds.ctr
         if self.ctr_provider is not None and self.ctr_provider is not self.model:
-            ctr = self.ctr_provider.predict(batch).ctr
+            ctr = self._ctr_scorer(batch).ctr
         self._last_ctr = ctr
         scores = {
             "ctcvr": ctr * preds.cvr,
@@ -425,7 +460,7 @@ class RankingService:
         if self.ctr_provider is not None and self.ctr_provider is not self.model:
             try:
                 batch = self._features(user, candidates, rng)
-                ctr = self.ctr_provider.predict(batch).ctr
+                ctr = self._ctr_scorer(batch).ctr
                 _check_probabilities(ctr, "fallback CTR scores")
                 self.stats.fallback_ctr_provider += 1
                 cvr = np.full(len(candidates), self._cvr_prior)
