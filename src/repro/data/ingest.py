@@ -5,7 +5,9 @@ raises on the first malformed row, which is the right contract for
 curated benchmark files and exactly the wrong one for production logs,
 where some fraction of rows is always broken (truncated writes, join
 bugs emitting NaN, attribution glitches recording conversions without
-clicks).  This module is the forgiving path:
+clicks).  This module is the forgiving path.  Both are policies of one
+reader, :func:`repro.data.loaders.parse_csv_rows`; here it runs under an
+:class:`IngestPolicy`:
 
 * every data row is **classified** -- malformed cell counts, non-0/1
   labels, conversion-without-click inconsistencies, unparseable or
@@ -20,8 +22,8 @@ clicks).  This module is the forgiving path:
   with a structured :class:`IngestBudgetError` (report attached) only
   when the corrupt fraction exceeds ``IngestPolicy.error_budget``.
 
-The classification pass runs *before* vocabulary indexing, so dropped
-rows never claim ids: with all-``drop`` policies the resulting dataset
+Rows are triaged *before* vocabulary indexing, so dropped rows never
+claim ids: with all-``drop`` policies the resulting dataset
 is bit-identical to loading only the clean rows through the strict
 loader, and therefore trains to identical metrics.
 """
@@ -38,29 +40,23 @@ import numpy as np
 
 from repro.data.dataset import InteractionDataset
 from repro.data.loaders import (
+    BAD_DENSE,
+    BAD_LABEL,
+    LABEL_INCONSISTENCY,
+    MALFORMED_ROW,
+    OOV_ID,
     ColumnSpec,
+    CsvLayout,
     VocabularyMaps,
-    _read_rows,
-    build_csv_schema,
-    hash_feature,
-    resolve_columns,
+    csv_dataset,
+    iter_csv_rows,
+    parse_csv_rows,
 )
 from repro.utils.logging import get_logger, log_event
 
 logger = get_logger("data.ingest")
 
-# -- quarantine reasons ------------------------------------------------
-#: Row has the wrong number of cells (truncated/overlong record).
-MALFORMED_ROW = "malformed_row"
-#: Click or conversion label is not a literal "0"/"1".
-BAD_LABEL = "bad_label"
-#: Conversion recorded without a click (violates exposure->click->buy).
-LABEL_INCONSISTENCY = "label_inconsistency"
-#: Dense value is unparseable, NaN, or infinite.
-BAD_DENSE = "bad_dense"
-#: Sparse id unseen by a frozen vocabulary.
-OOV_ID = "oov_id"
-
+#: The quarantine reasons, defined with the reader that detects them.
 QUARANTINE_REASONS = (
     MALFORMED_ROW,
     BAD_LABEL,
@@ -264,85 +260,31 @@ class IngestResult:
     quarantine: QuarantineStore
 
 
-def _parse_dense(raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        return float("nan")
+def ingest_report(
+    path: Path, total_rows: int, store: QuarantineStore, policy: Optional[IngestPolicy]
+) -> IngestReport:
+    """Summarise a load whose quarantined rows sit in ``store``.
 
-
-def classify_row(
-    row: Sequence[str],
-    line: int,
-    n_header: int,
-    column_index: Dict[str, int],
-    spec: ColumnSpec,
-    policy: IngestPolicy,
-    dense_columns: Sequence[str],
-    sparse_columns: Sequence[str],
-    vocabularies: VocabularyMaps,
-    freeze_vocabulary: bool,
-    store: QuarantineStore,
-) -> Optional[Tuple[int, int, Dict[str, float]]]:
-    """Classify/repair one data row (pass-1 logic, per row).
-
-    Returns ``(click, conversion, dense_values)`` for rows that survive
-    (quarantining repaired ones), or ``None`` for dropped rows (which
-    are quarantined here too).  Shared by the materialising quarantine
-    loader and the chunked streaming source so both paths keep/repair
-    *exactly* the same rows.
+    Shared by the quarantine loader and the chunked source.  Raises
+    :class:`IngestBudgetError` when the corrupt fraction exceeds the
+    policy's budget; ``policy=None`` (a strict stream) reports a zero
+    budget.
     """
-    if len(row) != n_header:
-        store.add(line, (MALFORMED_ROW,), "dropped", row)
-        return None
-    reasons: List[str] = []
-
-    click_raw = row[column_index[spec.click_column]]
-    conv_raw = row[column_index[spec.conversion_column]]
-    if click_raw not in ("0", "1") or conv_raw not in ("0", "1"):
-        store.add(line, (BAD_LABEL,), "dropped", row)
-        return None
-    click, conversion = int(click_raw), int(conv_raw)
-    if conversion == 1 and click == 0:
-        if policy.on_label_inconsistency == "drop":
-            store.add(line, (LABEL_INCONSISTENCY,), "dropped", row)
-            return None
-        conversion = 0  # trust the click label (repair)
-        reasons.append(LABEL_INCONSISTENCY)
-
-    dense_values: Dict[str, float] = {}
-    for c in dense_columns:
-        value = _parse_dense(row[column_index[c]])
-        if math.isfinite(value):
-            dense_values[c] = value
-            continue
-        reasons.append(BAD_DENSE)
-        if policy.on_bad_dense == "drop":
-            store.add(line, reasons, "dropped", row)
-            return None
-        if policy.on_bad_dense == "clip" and math.isinf(value):
-            dense_values[c] = math.copysign(policy.dense_clip, value)
-        else:
-            dense_values[c] = policy.dense_default
-
-    if freeze_vocabulary:
-        oov = [
-            c
-            for c in sparse_columns
-            if c not in spec.hash_buckets
-            and row[column_index[c]] not in vocabularies.maps.get(c, {})
-        ]
-        if oov:
-            reasons.append(OOV_ID)
-            if policy.on_oov_id == "drop":
-                store.add(line, reasons, "dropped", row)
-                return None
-            # "impute": the indexing pass routes unseen ids to the
-            # shared OOV bucket (id 0) -- counted, not silent.
-
-    if reasons:
-        store.add(line, reasons, "repaired", row)
-    return click, conversion, dense_values
+    k = (policy or IngestPolicy()).max_examples_per_reason
+    report = IngestReport(
+        path=str(path),
+        total_rows=total_rows,
+        loaded_rows=total_rows - store.n_dropped,
+        dropped_rows=store.n_dropped,
+        repaired_rows=store.n_repaired,
+        reason_counts=dict(store.counts),
+        error_budget=policy.error_budget if policy else 0.0,
+        examples={r: [q.line for q in store.examples(r, k)] for r in store.counts},
+    )
+    log_event(logger, "ingest_report", **report.to_dict())
+    if policy is not None and report.corrupt_fraction > policy.error_budget:
+        raise IngestBudgetError(report)
+    return report
 
 
 def load_csv_dataset_quarantined(
@@ -368,101 +310,15 @@ def load_csv_dataset_quarantined(
     spec = spec or ColumnSpec()
     policy = policy or IngestPolicy()
     vocabularies = vocabularies or VocabularyMaps()
-    header, rows = _read_rows(path)
-    dense_columns, sparse_columns, column_index = resolve_columns(
-        path, header, spec
-    )
-
-    # -- pass 1: classify and repair, *before* any vocabulary indexing,
-    # so dropped rows never claim ids.
+    layout = CsvLayout.read(path, spec)
+    rows = list(iter_csv_rows(path))
+    parsed = parse_csv_rows(rows, 2, layout, vocabularies, freeze_vocabulary, policy)
     store = QuarantineStore()
-    kept: List[Tuple[int, int, Dict[str, float], List[str]]] = []
-    for i, row in enumerate(rows):
-        verdict = classify_row(
-            row,
-            i + 2,
-            len(header),
-            column_index,
-            spec,
-            policy,
-            dense_columns,
-            sparse_columns,
-            vocabularies,
-            freeze_vocabulary,
-            store,
-        )
-        if verdict is not None:
-            click, conversion, dense_values = verdict
-            kept.append((click, conversion, dense_values, row))
-
-    report = IngestReport(
-        path=str(path),
-        total_rows=len(rows),
-        loaded_rows=len(kept),
-        dropped_rows=store.n_dropped,
-        repaired_rows=store.n_repaired,
-        reason_counts=dict(store.counts),
-        error_budget=policy.error_budget,
-        examples={
-            reason: [
-                r.line for r in store.examples(reason, policy.max_examples_per_reason)
-            ]
-            for reason in store.counts
-        },
-    )
-    log_event(
-        logger,
-        "ingest_report",
-        path=str(path),
-        total=report.total_rows,
-        loaded=report.loaded_rows,
-        dropped=report.dropped_rows,
-        repaired=report.repaired_rows,
-        corrupt_fraction=report.corrupt_fraction,
-        budget=policy.error_budget,
-    )
-    if report.corrupt_fraction > policy.error_budget:
-        raise IngestBudgetError(report)
-
-    # -- pass 2: build arrays from the survivors (strict-loader logic).
-    n = len(kept)
-    clicks = np.zeros(n, dtype=np.int64)
-    conversions = np.zeros(n, dtype=np.int64)
-    sparse: Dict[str, np.ndarray] = {
-        c: np.zeros(n, dtype=np.int64) for c in sparse_columns
-    }
-    dense: Dict[str, np.ndarray] = {
-        c: np.zeros(n, dtype=np.float64) for c in dense_columns
-    }
-    for j, (click, conversion, dense_values, row) in enumerate(kept):
-        clicks[j] = click
-        conversions[j] = conversion
-        for c in sparse_columns:
-            raw = row[column_index[c]]
-            if c in spec.hash_buckets:
-                sparse[c][j] = hash_feature(raw, spec.hash_buckets[c])
-            else:
-                sparse[c][j] = vocabularies.index(c, raw, frozen=freeze_vocabulary)
-        for c in dense_columns:
-            dense[c][j] = dense_values[c]
-
-    if dense_stats is None:
-        dense_stats = {
-            c: ((float(v.mean()), float(v.std()) or 1.0) if n else (0.0, 1.0))
-            for c, v in dense.items()
-        }
-    for c, values in dense.items():
-        mean, std = dense_stats[c]
-        dense[c] = (values - mean) / std
-
-    schema = build_csv_schema(spec, sparse_columns, dense_columns, vocabularies)
-    dataset = InteractionDataset(
-        name=name or path.stem,
-        schema=schema,
-        sparse=sparse,
-        dense=dense,
-        clicks=clicks,
-        conversions=conversions,
+    for entry in parsed.quarantined:
+        store.add(*entry)
+    report = ingest_report(path, len(rows), store, policy)
+    dataset, dense_stats = csv_dataset(
+        name or path.stem, layout, vocabularies, parsed.batch, dense_stats
     )
     return IngestResult(dataset, vocabularies, dense_stats, report, store)
 

@@ -16,19 +16,28 @@ them here.  The expected format is one CSV row per exposure::
 ``load_csv_dataset`` returns an :class:`InteractionDataset` without
 oracle columns -- entire-space (do) metrics are unavailable on real
 logs, exactly as in the paper.
+
+Every CSV loader -- this strict one, the quarantine loader in
+:mod:`repro.data.ingest` and the chunked source in
+:mod:`repro.data.stream` -- turns rows into arrays through the one
+reader, :func:`parse_csv_rows`.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.dataset import InteractionDataset
+from repro.data.dataset import Batch, InteractionDataset
 from repro.data.schema import DenseFeature, FeatureSchema, SparseFeature
+
+if TYPE_CHECKING:
+    from repro.data.ingest import IngestPolicy
 
 
 @dataclass
@@ -89,6 +98,21 @@ def hash_feature(raw: str, n_buckets: int) -> int:
     return value % n_buckets
 
 
+#: Quarantine reasons: the row defects :func:`parse_csv_rows` detects.
+#: Row has the wrong number of cells (truncated/overlong record).
+MALFORMED_ROW = "malformed_row"
+#: Click or conversion label is not a literal "0"/"1".
+BAD_LABEL = "bad_label"
+#: Conversion recorded without a click (violates exposure->click->buy).
+LABEL_INCONSISTENCY = "label_inconsistency"
+#: Dense value is unparseable, NaN, or infinite.
+BAD_DENSE = "bad_dense"
+#: Sparse id unseen by a frozen vocabulary.
+OOV_ID = "oov_id"
+#: The reasons a kept (repaired) row can carry, in detection order.
+_REPAIRABLE = (LABEL_INCONSISTENCY, BAD_DENSE, OOV_ID)
+
+
 def _validate_header(path: Path, header: List[str]) -> None:
     seen: Dict[str, int] = {}
     for position, column in enumerate(header):
@@ -104,16 +128,21 @@ def _validate_header(path: Path, header: List[str]) -> None:
         seen[column] = position
 
 
-def read_csv_header(path: "Path | str") -> List[str]:
-    """Read and validate only the header row (streaming loaders)."""
-    path = Path(path)
+def _csv_lines(path: Path) -> Iterator[List[str]]:
+    """The validated header row, then the non-empty data rows."""
     with open(path, newline="") as handle:
-        try:
-            header = next(csv.reader(handle))
-        except StopIteration:
-            raise ValueError(f"{path}: empty file (no header row)") from None
-    _validate_header(path, header)
-    return header
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file (no header row)")
+        _validate_header(path, header)
+        yield header
+        yield from filter(None, reader)
+
+
+def read_csv_header(path: "Path | str") -> List[str]:
+    """Read and validate only the header row."""
+    return next(_csv_lines(Path(path)))
 
 
 def iter_csv_rows(path: "Path | str") -> "Iterator[List[str]]":
@@ -121,87 +150,296 @@ def iter_csv_rows(path: "Path | str") -> "Iterator[List[str]]":
 
     Validates the header (empty/duplicate column names) before yielding
     anything.  Row ``i`` of this stream sits on file line ``i + 2`` --
-    the provenance convention every loader error message uses.  This is
-    the bounded-memory primitive under both the materialising
-    :func:`_read_rows` and :class:`repro.data.stream.ChunkedCSVSource`.
+    the provenance convention every loader error message uses.
     """
-    path = Path(path)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file (no header row)") from None
-        _validate_header(path, header)
-        for row in reader:
-            if row:
-                yield row
+    lines = _csv_lines(Path(path))
+    next(lines)
+    yield from lines
 
 
-def resolve_columns(
-    path: Path, header: List[str], spec: "ColumnSpec"
-) -> Tuple[List[str], List[str], Dict[str, int]]:
-    """Split ``header`` into (dense, sparse) columns under ``spec``.
+@dataclass
+class CsvLayout:
+    """One file's header resolved under a :class:`ColumnSpec`.
 
-    Raises on missing label/dense columns; returns
-    ``(dense_columns, sparse_columns, column_index)``.  Shared by the
-    strict loader, the quarantine loader, and the chunked streaming
-    source so all three agree on the schema they derive from one file.
+    ``dense`` follows ``spec.dense_features``; every other non-label
+    column is ``sparse``, in header order.
     """
-    for required in (spec.click_column, spec.conversion_column):
-        if required not in header:
-            raise ValueError(f"{path}: missing required column {required!r}")
-    label_columns = {spec.click_column, spec.conversion_column}
-    dense_columns = [c for c in spec.dense_features if c in header]
-    missing_dense = set(spec.dense_features) - set(header)
-    if missing_dense:
-        raise ValueError(f"{path}: missing dense columns {sorted(missing_dense)}")
-    sparse_columns = [
-        c for c in header if c not in label_columns and c not in dense_columns
-    ]
-    column_index = {c: i for i, c in enumerate(header)}
-    return dense_columns, sparse_columns, column_index
 
+    path: Path
+    header: List[str]
+    spec: ColumnSpec
+    dense: List[str]
+    sparse: List[str]
 
-def _read_rows(path: Path) -> Tuple[List[str], List[List[str]]]:
-    header = read_csv_header(path)
-    rows = list(iter_csv_rows(path))
-    return header, rows
+    @classmethod
+    def read(cls, path: Path, spec: ColumnSpec) -> "CsvLayout":
+        """Read ``path``'s header; raise on missing label/dense columns."""
+        header = read_csv_header(path)
+        for required in (spec.click_column, spec.conversion_column):
+            if required not in header:
+                raise ValueError(f"{path}: missing required column {required!r}")
+        missing_dense = set(spec.dense_features) - set(header)
+        if missing_dense:
+            raise ValueError(f"{path}: missing dense columns {sorted(missing_dense)}")
+        labels = {spec.click_column, spec.conversion_column}
+        dense = [c for c in spec.dense_features if c in header]
+        sparse = [c for c in header if c not in labels and c not in dense]
+        return cls(path, header, spec, dense, sparse)
 
+    def schema(self, vocabularies: VocabularyMaps) -> FeatureSchema:
+        spec = self.spec
+        return FeatureSchema(
+            sparse=[
+                SparseFeature(
+                    c,
+                    spec.hash_buckets.get(c, vocabularies.vocab_size(c)),
+                    group=_guess_group(c, spec),
+                    kind="wide" if c in spec.wide_features else "deep",
+                )
+                for c in self.sparse
+            ],
+            dense=[DenseFeature(c, dim=1) for c in self.dense],
+        )
 
-def build_csv_schema(
-    spec: "ColumnSpec",
-    sparse_columns: List[str],
-    dense_columns: List[str],
-    vocabularies: "VocabularyMaps",
-) -> FeatureSchema:
-    """Schema for a CSV-derived dataset (shared by every CSV loader)."""
-    return FeatureSchema(
-        sparse=[
-            SparseFeature(
-                c,
-                spec.hash_buckets.get(c, vocabularies.vocab_size(c)),
-                group=_guess_group(c, spec),
-                kind="wide" if c in spec.wide_features else "deep",
+    def row_error(self, row: Sequence[str], line: int) -> ValueError:
+        """The strict error for the first defect of one bad row."""
+        where, header = f"{self.path}:{line}", self.header
+        if len(row) != len(header):
+            detail = (
+                f"missing columns {header[len(row):]}"
+                if len(row) < len(header)
+                else f"{len(row) - len(header)} cells beyond column {header[-1]!r}"
             )
-            for c in sparse_columns
-        ],
-        dense=[DenseFeature(c, dim=1) for c in dense_columns],
+            return ValueError(
+                f"{where}: expected {len(header)} cells, got {len(row)}; {detail}"
+            )
+        cell = dict(zip(header, row))
+        click, conversion = self.spec.click_column, self.spec.conversion_column
+        for column in (click, conversion):
+            if cell[column] not in ("0", "1"):
+                return ValueError(
+                    f"{where}: column {column!r}: labels must be 0/1, "
+                    f"got {cell[column]!r}"
+                )
+        if cell[conversion] == "1" and cell[click] == "0":
+            return ValueError(
+                f"{where}: column {conversion!r}: conversion recorded on an "
+                f"unclicked exposure; the behaviour path "
+                f"exposure->click->conversion is violated"
+            )
+        column = next(c for c in self.dense if _float_or_none(cell[c]) is None)
+        return ValueError(
+            f"{where}: column {column!r}: could not parse dense value "
+            f"{cell[column]!r}"
+        )
+
+
+@dataclass
+class ParsedRows:
+    """What :func:`parse_csv_rows` makes of one chunk of raw rows."""
+
+    #: The kept rows as columns; dense values are raw, not standardised.
+    batch: Batch
+    #: Positions of the kept rows in the chunk.
+    kept: np.ndarray
+    #: ``(line, reasons, action, raw)`` per quarantined row, in file order.
+    quarantined: List[Tuple[int, Tuple[str, ...], str, Sequence[str]]]
+
+
+def parse_csv_rows(
+    rows: Sequence[Sequence[str]],
+    first_line: int,
+    layout: CsvLayout,
+    vocabularies: VocabularyMaps,
+    freeze_vocabulary: bool = False,
+    policy: "Optional[IngestPolicy]" = None,
+) -> ParsedRows:
+    """Turn raw CSV rows into column arrays: the one CSV reader.
+
+    ``rows[0]`` sits on file line ``first_line``.  Every CSV loader is a
+    driver over this function: the in-memory loaders pass the whole file
+    as one chunk, :class:`~repro.data.stream.ChunkedCSVSource` passes
+    bounded chunks.  The work goes a column at a time: labels by a
+    vectorised 0/1 test, dense cells by one ``np.asarray`` call (a
+    per-cell loop runs only when that call fails), sparse and hashed ids
+    once per distinct value.
+
+    ``policy=None`` is strict mode: the first defect in file order raises
+    with ``file:line: column`` provenance (NaN and inf dense values are
+    accepted).  Under an :class:`~repro.data.ingest.IngestPolicy`,
+    defective rows are repaired or dropped and listed in
+    ``quarantined``.  Rows are triaged before any vocabulary indexing, so
+    dropped rows never claim ids, and ids go out in first-seen order: a
+    file split into consecutive chunks reads exactly as one chunk.
+    """
+    spec = layout.spec
+    ragged = np.fromiter(map(len, rows), np.int64, len(rows)) != len(layout.header)
+    good = np.flatnonzero(~ragged)
+    columns = dict(
+        zip(layout.header, zip(*([rows[i] for i in good] if ragged.any() else rows)))
     )
+    click = np.array(columns.get(spec.click_column, ()), dtype=object)
+    conversion = np.array(columns.get(spec.conversion_column, ()), dtype=object)
+    bad_label = ~(
+        ((click == "0") | (click == "1")) & ((conversion == "0") | (conversion == "1"))
+    )
+    inconsistent = (conversion == "1") & (click == "0")
+    clicks = (click == "1").astype(np.int64)
+    conversions = ((conversion == "1") & ~inconsistent).astype(np.int64)
+    dense: Dict[str, np.ndarray] = {}
+    unparseable = np.zeros(len(good), dtype=bool)
+    for c in layout.dense:
+        dense[c], bad = _parse_dense(columns.get(c, ()))
+        unparseable |= bad
+    drop = np.zeros(len(good), dtype=bool)
+    quarantined: List[Tuple[int, Tuple[str, ...], str, Sequence[str]]] = []
 
-
-def _ragged_row_error(
-    path: Path, row_index: int, header: List[str], row: List[str]
-) -> ValueError:
-    """Cell-count mismatch, naming the columns that are missing."""
-    if len(row) < len(header):
-        detail = f"; missing columns {header[len(row):]}"
+    if policy is None:
+        defects = np.flatnonzero(ragged).tolist()
+        defects += good[bad_label | inconsistent | unparseable].tolist()
+        if defects:
+            raise layout.row_error(rows[min(defects)], first_line + min(defects))
     else:
-        detail = f"; {len(row) - len(header)} cells beyond column {header[-1]!r}"
-    return ValueError(
-        f"{path}:{row_index + 2}: expected {len(header)} cells, "
-        f"got {len(row)}{detail}"
+        dense_bad = np.zeros(len(good), dtype=bool)
+        for c, values in dense.items():
+            bad = ~np.isfinite(values)
+            dense_bad |= bad
+            fill = policy.dense_default
+            if policy.on_bad_dense == "clip":
+                clipped = np.copysign(policy.dense_clip, values)
+                fill = np.where(np.isinf(values), clipped, fill)
+            dense[c] = np.where(bad, fill, values)
+        oov = np.zeros(len(good), dtype=bool)
+        for c in layout.sparse if freeze_vocabulary else ():
+            cells, table = columns.get(c, ()), vocabularies.maps.get(c, {})
+            unseen = {raw for raw in set(cells) if raw not in table}
+            if unseen and c not in spec.hash_buckets:
+                oov |= np.fromiter(map(unseen.__contains__, cells), bool, len(cells))
+        # Drop decisions in detection order: a dropped row's later
+        # defects go unreported.
+        label_drop = bad_label | (
+            inconsistent & (policy.on_label_inconsistency == "drop")
+        )
+        dense_drop = dense_bad & ~label_drop & (policy.on_bad_dense == "drop")
+        oov &= ~label_drop & ~dense_drop
+        drop = label_drop | dense_drop | (oov & (policy.on_oov_id == "drop"))
+        flagged = {i: ((MALFORMED_ROW,), "dropped") for i in np.flatnonzero(ragged)}
+        for j in np.flatnonzero(bad_label | inconsistent | dense_bad | oov):
+            if label_drop[j]:
+                reasons = (BAD_LABEL if bad_label[j] else LABEL_INCONSISTENCY,)
+            else:
+                found = (inconsistent[j], dense_bad[j], oov[j])
+                reasons = tuple(r for r, hit in zip(_REPAIRABLE, found) if hit)
+            flagged[good[j]] = (reasons, "dropped" if drop[j] else "repaired")
+        quarantined = [
+            (first_line + int(i), *flagged[i], rows[i]) for i in sorted(flagged)
+        ]
+
+    keep = ~drop
+    mask = keep.tolist() if drop.any() else None
+    sparse = {}
+    for c in layout.sparse:
+        cells = columns.get(c, ())
+        if mask is not None:
+            cells = tuple(compress(cells, mask))
+        # Each distinct value resolves once, in first-seen order.
+        ids = dict.fromkeys(cells)
+        for raw in ids:
+            ids[raw] = (
+                hash_feature(raw, spec.hash_buckets[c])
+                if c in spec.hash_buckets
+                else vocabularies.index(c, raw, frozen=freeze_vocabulary)
+            )
+        sparse[c] = np.fromiter(map(ids.__getitem__, cells), np.int64, len(cells))
+    dense = {c: v[keep] for c, v in dense.items()}
+    batch = Batch(sparse, dense, clicks[keep], conversions[keep])
+    return ParsedRows(batch, good[keep], quarantined)
+
+
+def _float_or_none(raw: str) -> Optional[float]:
+    try:
+        return float(raw)
+    except ValueError:
+        return None
+
+
+def _parse_dense(cells: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(values, unparseable)`` for one dense column; bad cells are NaN."""
+    try:
+        values = np.asarray(cells, dtype=np.float64)
+        return values, np.zeros(len(values), dtype=bool)
+    except ValueError:
+        parsed = [_float_or_none(raw) for raw in cells]
+        values = np.array([np.nan if v is None else v for v in parsed], dtype=float)
+        return values, np.array([v is None for v in parsed], dtype=bool)
+
+
+class DenseMoments:
+    """Count, mean and ``M2`` of one dense column, fed chunk by chunk.
+
+    Chunks merge pairwise (Chan, Golub and LeVeque) in coordinates
+    shifted by the first chunk's mean, so a large common offset does not
+    cancel; the mean itself comes from the running sum.  A single chunk
+    gives exactly ``(v.mean(), v.std())``.
+    """
+
+    def __init__(self) -> None:
+        self.n, self.total, self.shift, self.m2 = 0, 0.0, 0.0, 0.0
+        self.shifted_mean = 0.0
+
+    def add(self, values: np.ndarray) -> "DenseMoments":
+        size = len(values)
+        if size and not self.n:
+            self.shift = values.mean()
+            shifted = values - self.shift
+            self.n, self.m2 = size, np.square(shifted).sum()
+            self.shifted_mean = shifted.mean()
+            self.total = values.sum()
+        elif size:
+            shifted = values - self.shift
+            mean = shifted.mean()
+            delta, n = mean - self.shifted_mean, self.n + size
+            self.m2 += np.square(shifted - mean).sum() + delta * delta * self.n * size / n
+            self.shifted_mean += delta * size / n
+            self.n, self.total = n, self.total + values.sum()
+        return self
+
+    def stats(self) -> Tuple[float, float]:
+        """``(mean, std)``; ``(0.0, 1.0)`` without rows, std 0 reads as 1."""
+        if not self.n:
+            return 0.0, 1.0
+        return float(self.total / self.n), float(np.sqrt(self.m2 / self.n)) or 1.0
+
+
+def standardise(
+    dense: Dict[str, np.ndarray], stats: Dict[str, Tuple[float, float]]
+) -> Dict[str, np.ndarray]:
+    return {c: (v - stats[c][0]) / stats[c][1] for c, v in dense.items()}
+
+
+def csv_dataset(
+    name: str,
+    layout: CsvLayout,
+    vocabularies: VocabularyMaps,
+    batch: Batch,
+    dense_stats: Optional[Dict[str, Tuple[float, float]]],
+) -> Tuple[InteractionDataset, Dict[str, Tuple[float, float]]]:
+    """A whole file's parsed rows as a standardised dataset.
+
+    ``dense_stats`` (training-split statistics) are computed from
+    ``batch`` when absent.
+    """
+    if dense_stats is None:
+        dense_stats = {c: DenseMoments().add(v).stats() for c, v in batch.dense.items()}
+    dataset = InteractionDataset(
+        name=name,
+        schema=layout.schema(vocabularies),
+        sparse=batch.sparse,
+        dense=standardise(batch.dense, dense_stats),
+        clicks=batch.clicks,
+        conversions=batch.conversions,
     )
+    return dataset, dense_stats
 
 
 def load_csv_dataset(
@@ -212,7 +450,7 @@ def load_csv_dataset(
     name: Optional[str] = None,
     dense_stats: Optional[Dict[str, Tuple[float, float]]] = None,
 ) -> Tuple[InteractionDataset, VocabularyMaps, Dict[str, Tuple[float, float]]]:
-    """Load one CSV exposure log.
+    """Load one CSV exposure log strictly: any defective row raises.
 
     Parameters
     ----------
@@ -237,73 +475,12 @@ def load_csv_dataset(
     path = Path(path)
     spec = spec or ColumnSpec()
     vocabularies = vocabularies or VocabularyMaps()
-    header, rows = _read_rows(path)
-    dense_columns, sparse_columns, column_index = resolve_columns(
-        path, header, spec
+    layout = CsvLayout.read(path, spec)
+    parsed = parse_csv_rows(
+        list(iter_csv_rows(path)), 2, layout, vocabularies, freeze_vocabulary
     )
-    n = len(rows)
-    clicks = np.zeros(n, dtype=np.int64)
-    conversions = np.zeros(n, dtype=np.int64)
-    sparse: Dict[str, np.ndarray] = {
-        c: np.zeros(n, dtype=np.int64) for c in sparse_columns
-    }
-    dense: Dict[str, np.ndarray] = {
-        c: np.zeros(n, dtype=np.float64) for c in dense_columns
-    }
-
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise _ragged_row_error(path, i, header, row)
-        clicks[i] = _parse_binary(
-            row[column_index[spec.click_column]], path, i, spec.click_column
-        )
-        conversions[i] = _parse_binary(
-            row[column_index[spec.conversion_column]],
-            path,
-            i,
-            spec.conversion_column,
-        )
-        for c in sparse_columns:
-            raw = row[column_index[c]]
-            if c in spec.hash_buckets:
-                sparse[c][i] = hash_feature(raw, spec.hash_buckets[c])
-            else:
-                sparse[c][i] = vocabularies.index(
-                    c, raw, frozen=freeze_vocabulary
-                )
-        for c in dense_columns:
-            raw = row[column_index[c]]
-            try:
-                dense[c][i] = float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{i + 2}: column {c!r}: could not parse dense "
-                    f"value {raw!r}"
-                ) from None
-
-    if np.any((conversions == 1) & (clicks == 0)):
-        raise ValueError(
-            f"{path}: conversions recorded on unclicked exposures; the "
-            f"behaviour path exposure->click->conversion is violated"
-        )
-
-    # Standardise dense columns with training-split statistics.
-    if dense_stats is None:
-        dense_stats = {
-            c: (float(v.mean()), float(v.std()) or 1.0) for c, v in dense.items()
-        }
-    for c, values in dense.items():
-        mean, std = dense_stats[c]
-        dense[c] = (values - mean) / std
-
-    schema = build_csv_schema(spec, sparse_columns, dense_columns, vocabularies)
-    dataset = InteractionDataset(
-        name=name or path.stem,
-        schema=schema,
-        sparse=sparse,
-        dense=dense,
-        clicks=clicks,
-        conversions=conversions,
+    dataset, dense_stats = csv_dataset(
+        name or path.stem, layout, vocabularies, parsed.batch, dense_stats
     )
     return dataset, vocabularies, dense_stats
 
@@ -353,15 +530,6 @@ def export_csv_dataset(dataset: InteractionDataset, path: "Path | str") -> Path:
             row += [int(dataset.clicks[i]), int(dataset.conversions[i])]
             writer.writerow(row)
     return path
-
-
-def _parse_binary(value: str, path: Path, row: int, column: str) -> int:
-    if value not in ("0", "1"):
-        raise ValueError(
-            f"{path}:{row + 2}: column {column!r}: labels must be 0/1, "
-            f"got {value!r}"
-        )
-    return int(value)
 
 
 def _guess_group(column: str, spec: ColumnSpec) -> str:

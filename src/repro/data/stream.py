@@ -7,20 +7,19 @@ This module inverts the contract: a :class:`DataSource` is *iterated*
 in ``Batch``-shaped shards, with only the cheap global facts (row
 count, schema, vocabularies, dense statistics) known up front.
 
-Three implementations:
+The sources:
 
 * :class:`InMemorySource` wraps an :class:`InteractionDataset` and
   delegates to :func:`repro.data.batching.batch_iterator`, so it is
   bit-exact with the historical in-memory path at a fixed RNG state --
   the property that lets :class:`~repro.training.engine.TrainingEngine`
   accept sources without perturbing a single golden test.
-* :class:`ChunkedCSVSource` reads a CSV exposure log in bounded-memory
-  chunks, re-using the quarantine machinery of
-  :mod:`repro.data.ingest` per chunk (or the strict
-  :mod:`repro.data.loaders` error reporting with full file:line:column
-  provenance when no policy is given).  Peak memory is ~2 chunks --
-  the one being trained on plus the row buffer being filled -- no
-  matter how large the file; a :class:`ChunkMemoryGauge` proves it.
+* :class:`ChunkedCSVSource` drives the one CSV reader,
+  :func:`repro.data.loaders.parse_csv_rows`, over bounded chunks of a
+  CSV exposure log (strict, or under an ingest policy).  Peak memory is
+  ~2 chunks -- the one being trained on plus the row buffer being
+  parsed -- no matter how large the file; a :class:`ChunkMemoryGauge`
+  proves it.
 * :class:`ReplaySource` replays a timestamped dataset in event-time
   order (the shape of a production click log), for delayed-feedback
   experiments.
@@ -36,40 +35,35 @@ therefore be short; ``drop_last`` drops those per-chunk tails.
 **Resume = skip without desynchronising.**  ``iter_batches`` takes a
 ``start_batch`` cursor (what
 :class:`~repro.reliability.checkpoint.TrainingSnapshot` records as
-``batch_in_epoch``).  Skipped chunks are classified but not
-materialised -- crucially each skipped chunk still draws its
-``rng.permutation``, so the RNG stream stays aligned and the batches
-that *are* yielded are bit-identical to an uninterrupted epoch.
+``batch_in_epoch``).  Skipped chunks are read past but not parsed --
+crucially each skipped chunk still draws its ``rng.permutation``, so
+the RNG stream stays aligned and the batches that *are* yielded are
+bit-identical to an uninterrupted epoch.
 """
 
 from __future__ import annotations
 
 import abc
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.data.batching import batch_iterator, n_batches, slice_batch
 from repro.data.dataset import Batch, InteractionDataset
-from repro.data.ingest import (
-    IngestBudgetError,
-    IngestPolicy,
-    IngestReport,
-    QuarantineStore,
-    classify_row,
-)
+from repro.data.ingest import IngestPolicy, QuarantineStore, ingest_report
 from repro.data.loaders import (
     ColumnSpec,
+    CsvLayout,
+    DenseMoments,
+    ParsedRows,
     VocabularyMaps,
-    _parse_binary,
-    _ragged_row_error,
-    build_csv_schema,
-    hash_feature,
     iter_csv_rows,
-    read_csv_header,
-    resolve_columns,
+    parse_csv_rows,
+    standardise,
 )
 from repro.data.schema import FeatureSchema
 from repro.utils.logging import get_logger, log_event
@@ -207,24 +201,36 @@ class ChunkMemoryGauge:
 class _ChunkPlan:
     """Deterministic epoch geometry, fixed by the metadata pass."""
 
+    #: Kept rows per chunk.
     sizes: List[int] = field(default_factory=list)
+    #: Raw rows per chunk: its kept rows and the dropped rows among them.
+    spans: List[int] = field(default_factory=list)
 
-    def batches_before(self, chunk: int, batch_size: int, drop_last: bool) -> int:
-        return sum(
-            n_batches(size, batch_size, drop_last)
-            for size in self.sizes[:chunk]
-        )
+
+def _blocks(
+    rows: Iterable[List[str]], size: int, first_line: int = 2
+) -> Iterator[Tuple[int, List[List[str]]]]:
+    """``(first_line, rows)`` blocks of at most ``size`` raw rows."""
+    rows = iter(rows)
+    while True:
+        block = list(islice(rows, size))
+        if not block:
+            return
+        yield first_line, block
+        first_line += len(block)
 
 
 class ChunkedCSVSource(DataSource):
     """Bounded-memory chunked reader over a CSV exposure log.
 
-    One metadata pass at construction streams the whole file to build
-    the vocabulary (incremental, identical id assignment to a full
-    in-memory load), dense statistics (running sums), the quarantine
-    report, and the chunk geometry.  Every epoch then re-reads the file
-    chunk-by-chunk; at no point do more than ``~2 * chunk_rows`` rows
-    live in memory.
+    One metadata pass at construction parses the whole file,
+    ``chunk_rows`` raw rows at a time, to build the vocabulary
+    (identical id assignment to a full in-memory load), dense
+    statistics (per-chunk moments merged), the quarantine report, and
+    the chunk geometry: every chunk holds ``chunk_rows`` kept rows, the
+    last one the rest.  Every epoch then re-reads the file chunk by
+    chunk; at no point do more than ``~2 * chunk_rows`` rows live in
+    memory.
 
     Parameters
     ----------
@@ -270,196 +276,72 @@ class ChunkedCSVSource(DataSource):
         self.freeze_vocabulary = freeze_vocabulary
         self.name = name or self.path.stem
         self.gauge = ChunkMemoryGauge()
-        self._quarantine_max_rows = quarantine_max_rows
-
-        header = read_csv_header(self.path)
-        self._header_len = len(header)
-        self._dense_columns, self._sparse_columns, self._column_index = (
-            resolve_columns(self.path, header, self.spec)
-        )
+        self._layout = CsvLayout.read(self.path, self.spec)
 
         # -- metadata pass: vocabulary, dense stats, quarantine, geometry.
         self.quarantine = QuarantineStore(max_rows=quarantine_max_rows)
-        sums = {c: 0.0 for c in self._dense_columns}
-        sumsqs = {c: 0.0 for c in self._dense_columns}
-        kept = 0
-        total = 0
+        moments = {c: DenseMoments() for c in self._layout.dense}
         plan = _ChunkPlan()
-        chunk_fill = 0
-        for payload in self._classified_rows(self.quarantine):
-            total += 1
-            if payload is None:
-                continue
-            click, conversion, dense_values, row = payload
-            for c in self._sparse_columns:
-                if c not in self.spec.hash_buckets:
-                    self.vocabularies.index(
-                        c, row[self._column_index[c]], frozen=freeze_vocabulary
-                    )
-            for c in self._dense_columns:
-                sums[c] += dense_values[c]
-                sumsqs[c] += dense_values[c] ** 2
-            kept += 1
-            chunk_fill += 1
-            if chunk_fill == chunk_rows:
-                plan.sizes.append(chunk_fill)
-                chunk_fill = 0
-        if chunk_fill:
-            plan.sizes.append(chunk_fill)
-        self._n_rows = kept
+        # Raw rows read so far; kept rows in, and first raw row of, the
+        # chunk being filled.
+        total = fill = start = 0
+        for line, rows in _blocks(iter_csv_rows(self.path), chunk_rows):
+            parsed = self._parse(rows, line)
+            for entry in parsed.quarantined:
+                self.quarantine.add(*entry)
+            for c, values in parsed.batch.dense.items():
+                moments[c].add(values)
+            # A chunk closes after every chunk_rows-th kept row.
+            closing = parsed.kept[chunk_rows - fill - 1 :: chunk_rows]
+            for end in (total + closing + 1).tolist():
+                plan.sizes.append(chunk_rows)
+                plan.spans.append(end - start)
+                start = end
+            fill = (fill + len(parsed.kept)) % chunk_rows
+            total += len(rows)
+        if fill:
+            plan.sizes.append(fill)
+            plan.spans.append(total - start)
+        self._n_rows = sum(plan.sizes)
         self._plan = plan
-
-        self.report = IngestReport(
-            path=str(self.path),
-            total_rows=total,
-            loaded_rows=kept,
-            dropped_rows=self.quarantine.n_dropped,
-            repaired_rows=self.quarantine.n_repaired,
-            reason_counts=dict(self.quarantine.counts),
-            error_budget=self.policy.error_budget if self.policy else 0.0,
-            examples={
-                reason: [
-                    r.line
-                    for r in self.quarantine.examples(
-                        reason,
-                        self.policy.max_examples_per_reason if self.policy else 5,
-                    )
-                ]
-                for reason in self.quarantine.counts
-            },
-        )
-        log_event(
-            logger,
-            "stream_metadata_pass",
-            path=str(self.path),
-            total=total,
-            loaded=kept,
-            chunks=len(plan.sizes),
-            chunk_rows=chunk_rows,
-        )
-        if self.policy and self.report.corrupt_fraction > self.policy.error_budget:
-            raise IngestBudgetError(self.report)
-
+        log_event(logger, "stream_metadata_pass", path=str(self.path),
+                  chunks=len(plan.sizes), chunk_rows=chunk_rows)
+        self.report = ingest_report(self.path, total, self.quarantine, policy)
         if dense_stats is None:
-            dense_stats = {}
-            for c in self._dense_columns:
-                if kept:
-                    mean = sums[c] / kept
-                    var = max(sumsqs[c] / kept - mean**2, 0.0)
-                    dense_stats[c] = (mean, float(np.sqrt(var)) or 1.0)
-                else:
-                    dense_stats[c] = (0.0, 1.0)
+            dense_stats = {c: m.stats() for c, m in moments.items()}
         self.dense_stats = dense_stats
-        self.schema = build_csv_schema(
-            self.spec, self._sparse_columns, self._dense_columns, self.vocabularies
-        )
+        self.schema = self._layout.schema(self.vocabularies)
 
     # -- row plumbing ---------------------------------------------------
-    def _classified_rows(
-        self, store: QuarantineStore
-    ) -> Iterator[Optional[Tuple[int, int, Dict[str, float], List[str]]]]:
-        """Stream classified rows; ``None`` marks a dropped row.
+    def _parse(self, rows: List[List[str]], line: int) -> ParsedRows:
+        return parse_csv_rows(rows, line, self._layout, self.vocabularies,
+                              self.freeze_vocabulary, self.policy)
 
-        Strict mode raises in place of quarantining, with the loader's
-        file:line:column provenance.
-        """
-        for i, row in enumerate(iter_csv_rows(self.path)):
-            if self.strict:
-                yield self._strict_row(row, i)
-                continue
-            assert self.policy is not None
-            verdict = classify_row(
-                row,
-                i + 2,
-                self._header_len,
-                self._column_index,
-                self.spec,
-                self.policy,
-                self._dense_columns,
-                self._sparse_columns,
-                self.vocabularies,
-                self.freeze_vocabulary,
-                store,
+    def _read_chunk(self, rows: Iterator[List[str]], span: int, line: int) -> Batch:
+        """Parse the next ``span`` raw rows, ``chunk_rows`` at a time, into
+        standardised columns."""
+        parts = [
+            self._parse(block, first).batch
+            for first, block in _blocks(islice(rows, span), self.chunk_rows, line)
+        ] or [self._parse([], line).batch]
+        chunk = parts[0]
+        if len(parts) > 1:  # dropped rows stretched the span
+            chunk = Batch(
+                {c: np.concatenate([p.sparse[c] for p in parts]) for c in chunk.sparse},
+                {c: np.concatenate([p.dense[c] for p in parts]) for c in chunk.dense},
+                np.concatenate([p.clicks for p in parts]),
+                np.concatenate([p.conversions for p in parts]),
             )
-            if verdict is None:
-                yield None
-            else:
-                click, conversion, dense_values = verdict
-                yield click, conversion, dense_values, row
-
-    def _strict_row(
-        self, row: List[str], i: int
-    ) -> Tuple[int, int, Dict[str, float], List[str]]:
-        if len(row) != self._header_len:
-            header = read_csv_header(self.path)
-            raise _ragged_row_error(self.path, i, header, row)
-        spec, index = self.spec, self._column_index
-        click = _parse_binary(
-            row[index[spec.click_column]], self.path, i, spec.click_column
-        )
-        conversion = _parse_binary(
-            row[index[spec.conversion_column]], self.path, i, spec.conversion_column
-        )
-        if conversion == 1 and click == 0:
-            raise ValueError(
-                f"{self.path}:{i + 2}: column {spec.conversion_column!r}: "
-                f"conversion recorded on an unclicked exposure; the behaviour "
-                f"path exposure->click->conversion is violated"
-            )
-        dense_values: Dict[str, float] = {}
-        for c in self._dense_columns:
-            raw = row[index[c]]
-            try:
-                dense_values[c] = float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{self.path}:{i + 2}: column {c!r}: could not parse "
-                    f"dense value {raw!r}"
-                ) from None
-        return click, conversion, dense_values, row
-
-    def _materialize(
-        self, rows: List[Tuple[int, int, Dict[str, float], List[str]]]
-    ) -> Dict[str, np.ndarray]:
-        n = len(rows)
-        clicks = np.zeros(n, dtype=np.int64)
-        conversions = np.zeros(n, dtype=np.int64)
-        sparse = {c: np.zeros(n, dtype=np.int64) for c in self._sparse_columns}
-        dense = {c: np.zeros(n, dtype=np.float64) for c in self._dense_columns}
-        for j, (click, conversion, dense_values, row) in enumerate(rows):
-            clicks[j] = click
-            conversions[j] = conversion
-            for c in self._sparse_columns:
-                raw = row[self._column_index[c]]
-                if c in self.spec.hash_buckets:
-                    sparse[c][j] = hash_feature(raw, self.spec.hash_buckets[c])
-                else:
-                    # The metadata pass already assigned every id, so
-                    # lookups are effectively frozen here.
-                    sparse[c][j] = self.vocabularies.index(c, raw, frozen=True)
-        for c in self._dense_columns:
-            mean, std = self.dense_stats[c]
-            for j, (_, _, dense_values, _) in enumerate(rows):
-                dense[c][j] = (dense_values[c] - mean) / std
-        return {"clicks": clicks, "conversions": conversions, **{
-            f"sparse.{k}": v for k, v in sparse.items()
-        }, **{f"dense.{k}": v for k, v in dense.items()}}
+        chunk.dense = standardise(chunk.dense, self.dense_stats)
+        return chunk
 
     @staticmethod
-    def _chunk_batch(arrays: Dict[str, np.ndarray], idx: np.ndarray) -> Batch:
+    def _chunk_batch(chunk: Batch, idx: np.ndarray) -> Batch:
         return Batch(
-            sparse={
-                k[len("sparse."):]: v[idx]
-                for k, v in arrays.items()
-                if k.startswith("sparse.")
-            },
-            dense={
-                k[len("dense."):]: v[idx]
-                for k, v in arrays.items()
-                if k.startswith("dense.")
-            },
-            clicks=arrays["clicks"][idx],
-            conversions=arrays["conversions"][idx],
+            sparse={k: v[idx] for k, v in chunk.sparse.items()},
+            dense={k: v[idx] for k, v in chunk.dense.items()},
+            clicks=chunk.clicks[idx],
+            conversions=chunk.conversions[idx],
         )
 
     # -- DataSource interface ------------------------------------------
@@ -467,9 +349,7 @@ class ChunkedCSVSource(DataSource):
         return self._n_rows
 
     def n_batches_per_epoch(self, batch_size: int, drop_last: bool) -> int:
-        return self._plan.batches_before(
-            len(self._plan.sizes), batch_size, drop_last
-        )
+        return sum(n_batches(s, batch_size, drop_last) for s in self._plan.sizes)
 
     def iter_batches(
         self,
@@ -502,65 +382,45 @@ class ChunkedCSVSource(DataSource):
         drop_last: bool,
         start_batch: int,
     ) -> Iterator[Batch]:
-        epoch_store = QuarantineStore(max_rows=0)
-        buffer: List[Tuple[int, int, Dict[str, float], List[str]]] = []
-        buffer_open = False
+        rows = iter_csv_rows(self.path)
+        line = 2
         batch_cursor = 0
-
-        def flush() -> Iterator[Batch]:
-            nonlocal batch_cursor, buffer, buffer_open
-            chunk_n = len(buffer)
-            if not chunk_n:
-                return
-            n_chunk_batches = n_batches(chunk_n, batch_size, drop_last)
-            skip_whole_chunk = batch_cursor + n_chunk_batches <= start_batch
+        for size, span in zip(self._plan.sizes, self._plan.spans):
+            n_chunk_batches = n_batches(size, batch_size, drop_last)
             if shuffle:
                 assert rng is not None
                 # Drawn even for skipped chunks: the RNG stream must
                 # advance identically whether or not we materialise.
-                order = rng.permutation(chunk_n)
+                order = rng.permutation(size)
             else:
-                order = np.arange(chunk_n)
-            if skip_whole_chunk:
+                order = np.arange(size)
+            if batch_cursor + n_chunk_batches <= start_batch:
+                deque(islice(rows, span), maxlen=0)
+                line += span
                 batch_cursor += n_chunk_batches
-                buffer = []
-                buffer_open = False
-                self.gauge.release(1, 0)
-                return
-            # Transiently the raw-row buffer and its materialised
-            # arrays coexist -- the "2 resident chunks" moment the
-            # gauge (and the acceptance test) bound.
-            arrays = self._materialize(buffer)
-            nbytes = sum(v.nbytes for v in arrays.values())
+                continue
+            # While a chunk is parsed its raw-row buffer and its arrays
+            # coexist -- the "2 resident chunks" moment the gauge (and
+            # the acceptance test) bound.
+            self.gauge.acquire(1, 0)
+            chunk = self._read_chunk(rows, span, line)
+            line += span
+            arrays = [chunk.clicks, chunk.conversions, *chunk.sparse.values()]
+            nbytes = sum(v.nbytes for v in arrays + list(chunk.dense.values()))
             self.gauge.acquire(1, nbytes)
-            buffer = []
-            buffer_open = False
             self.gauge.release(1, 0)
             self.gauge.chunks_materialized += 1
-            self.gauge.rows_materialized += chunk_n
+            self.gauge.rows_materialized += size
             try:
-                for start in range(0, chunk_n, batch_size):
+                for start in range(0, size, batch_size):
                     idx = order[start : start + batch_size]
                     if drop_last and len(idx) < batch_size:
                         break
                     if batch_cursor >= start_batch:
-                        yield self._chunk_batch(arrays, idx)
+                        yield self._chunk_batch(chunk, idx)
                     batch_cursor += 1
             finally:
                 self.gauge.release(1, nbytes)
-
-        for payload in self._classified_rows(epoch_store):
-            if payload is None:
-                continue
-            if not buffer_open:
-                # An assembling raw-row buffer counts as a resident
-                # chunk for the bounded-memory accounting.
-                self.gauge.acquire(1, 0)
-                buffer_open = True
-            buffer.append(payload)
-            if len(buffer) == self.chunk_rows:
-                yield from flush()
-        yield from flush()
 
     def validate(self) -> None:
         """No-op: the metadata pass constructed every sparse id in
@@ -568,16 +428,11 @@ class ChunkedCSVSource(DataSource):
         the invariant ``trusted_indices`` relies on."""
 
     def sample_batch(self, n: int) -> Batch:
-        rows: List[Tuple[int, int, Dict[str, float], List[str]]] = []
-        store = QuarantineStore(max_rows=0)
-        for payload in self._classified_rows(store):
-            if payload is None:
-                continue
-            rows.append(payload)
-            if len(rows) == n:
-                break
-        arrays = self._materialize(rows)
-        return self._chunk_batch(arrays, np.arange(len(rows)))
+        # The first n kept rows: parse only the chunks that hold them.
+        chunks = int(np.searchsorted(np.cumsum(self._plan.sizes), n)) + 1
+        span = sum(self._plan.spans[:chunks])
+        chunk = self._read_chunk(iter_csv_rows(self.path), span, 2)
+        return self._chunk_batch(chunk, np.arange(min(n, chunk.size)))
 
 
 # ----------------------------------------------------------------------
