@@ -27,9 +27,10 @@ six Table II tenants:
   label-aware :class:`~repro.reliability.drift.CalibrationMonitor`.
 
 Every event is a pure description: ``overrides`` to fold into the
-tenant's :class:`~repro.data.synthetic.ScenarioConfig` (rebuilding the
-scenario recalibrates intercepts but never re-draws latent vectors, so
-the user/item world stays fixed across drift), plus ``new_items`` for
+tenant's :class:`~repro.data.synthetic.ScenarioConfig` (the simulator
+rebuilds the world with :meth:`~repro.data.synthetic.SyntheticScenario.drifted`,
+which shares every draw and only recalibrates the intercepts, so the
+user/item world stays fixed across drift), plus ``new_items`` for
 catalog churn, which the simulator maps to vocabulary growth rather
 than a config change.  Schedules are derived from
 ``np.random.SeedSequence([seed, tenant_index])`` streams only --

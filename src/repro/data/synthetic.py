@@ -29,7 +29,7 @@ computed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -128,12 +128,15 @@ class ScenarioConfig:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Logistic function, overflow-free on both tails.
+
+    Each sign keeps its own formula -- ``1 / (1 + e^-x)`` for ``x >= 0``
+    and ``e^x / (1 + e^x)`` below -- and both read ``e = exp(-|x|)``, so
+    one ``where`` selects between them without masked gathers.
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def calibrate_intercept(
@@ -148,14 +151,15 @@ def calibrate_intercept(
     (optional) restrict the average to a subpopulation, e.g. the click
     space when calibrating conversion rates.
     """
-    if weights is None:
-        weights = np.ones_like(logits)
-    total = weights.sum()
+    total = logits.size if weights is None else weights.sum()
     if total <= 0:
         raise ValueError("calibration weights sum to zero")
 
     def rate(b: float) -> float:
-        return float((weights * _sigmoid(logits + b)).sum() / total)
+        probs = _sigmoid(logits + b)
+        if weights is not None:
+            probs = weights * probs
+        return float(probs.sum() / total)
 
     low, high = -30.0, 30.0
     for _ in range(200):
@@ -179,12 +183,49 @@ def _bucketize(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.searchsorted(edges, values, side="right").astype(np.int64)
 
 
-class SyntheticScenario:
-    """A fully specified behaviour model; call :meth:`generate`.
+#: :class:`ScenarioConfig` fields that shape a world's random draws.  A
+#: world rebuilt under drift (:meth:`SyntheticScenario.drifted`) shares
+#: its parent's draws, so these must match; every other field (target
+#: rates, ``position_bias``, ``logit_scale``, the hidden-confounder
+#: strengths, ...) only moves the calibrated intercepts.
+DRAW_FIELDS = (
+    "seed",
+    "n_users",
+    "n_items",
+    "n_train",
+    "latent_dim",
+    "bias_strength",
+    "position_count",
+    "zipf_exponent",
+    "affinity_noise",
+    "conversion_delay_mean_hours",
+    "conversion_delay_item_spread",
+)
 
-    The scenario object itself is the "world": the online simulator
-    (:mod:`repro.simulation`) queries :meth:`true_ctr` / :meth:`true_cvr`
-    to roll out user sessions against models under test.
+
+class _Probe(NamedTuple):
+    """A large exposure sample (seed + 101) that intercepts are
+    calibrated on, with the per-row terms the bisections read."""
+
+    users: np.ndarray
+    items: np.ndarray
+    positions: np.ndarray
+    hidden: np.ndarray
+    click_affinity: np.ndarray
+    conversion_affinity: np.ndarray
+    click_base: np.ndarray
+    conv_base: np.ndarray
+
+
+class WorldDraws:
+    """Everything a world draws from its seed, made once per seed.
+
+    Latent factors, base rates, item popularity, per-item delay scales
+    and the feature-bucket edges frozen on the calibration probe.  None
+    of it depends on the target rates, ``position_bias``,
+    ``logit_scale`` or the hidden-confounder strengths, so every world
+    rebuilt under drift shares one instance and only recalibrates its
+    intercepts on :meth:`probe`.
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
@@ -229,14 +270,11 @@ class SyntheticScenario:
         popularity = ranks ** (-config.zipf_exponent)
         self.item_popularity = popularity / popularity.sum()
 
-        # Intercepts are calibrated lazily on a large probe sample, and
-        # feature-bucket edges are frozen on the same probe so training
-        # and online-serving features share one discretisation.
-        self._rng = rng
-        self._ctr_intercept: Optional[float] = None
-        self._cvr_intercept: Optional[float] = None
-        self._bucket_edges: dict = {}
-        self._calibrate()
+        # Feature-bucket edges are frozen on the calibration probe, so
+        # training and online-serving features share one discretisation.
+        probe = self._sample_probe()
+        self.bucket_edges = self._freeze_edges(probe)
+        self._unclaimed_probe: Optional[_Probe] = probe
 
         # Per-item conversion-delay scales (hours), drawn on a separate
         # RNG stream (seed + 303) so enabling delays never perturbs the
@@ -259,6 +297,126 @@ class SyntheticScenario:
         else:
             self.item_delay_scale = np.zeros(config.n_items)
 
+    def _sample_probe(self) -> _Probe:
+        cfg = self.config
+        rng = np.random.default_rng(cfg.seed + 101)
+        n = max(50_000, cfg.n_train)
+        users, items, positions = _sample_exposures(
+            cfg, self.item_popularity, n, rng
+        )
+        hidden = rng.normal(size=n)
+        click = _click_affinity(self, users, items)
+        return _Probe(
+            users=users,
+            items=items,
+            positions=positions,
+            hidden=hidden,
+            click_affinity=click,
+            conversion_affinity=_conversion_affinity(self, users, items, click),
+            click_base=self.user_click_base[users] + self.item_click_base[items],
+            conv_base=self.user_conv_base[users] + self.item_conv_base[items],
+        )
+
+    def _freeze_edges(self, probe: _Probe) -> Dict[str, np.ndarray]:
+        users, items = probe.users, probe.items
+        rng = np.random.default_rng(self.config.seed + 202)
+        noise = self.config.affinity_noise
+        return {
+            "user_segment": _quantile_edges(self.user_click[users, 0], 16),
+            "user_activity": _quantile_edges(self.user_click_base[users], 8),
+            "item_category": _quantile_edges(self.item_conv[items, 0], 12),
+            "item_popularity": _quantile_edges(
+                self.item_popularity[items] + 1e-12 * items, 8
+            ),
+            "click_affinity_bucket": _quantile_edges(
+                probe.click_affinity + noise * rng.normal(size=len(users)), 20
+            ),
+            "conv_affinity_bucket": _quantile_edges(
+                probe.conversion_affinity + noise * rng.normal(size=len(users)),
+                20,
+            ),
+        }
+
+    def probe(self) -> _Probe:
+        """The calibration probe, with its affinities computed once.
+
+        The probe sampled with the draws serves the first calibration;
+        later ones (drift rebuilds) sample it again from its own seeded
+        stream.  Keeping 50k probe rows on every world would make each
+        retained world megabytes heavier for a few milliseconds saved.
+        """
+        probe, self._unclaimed_probe = self._unclaimed_probe, None
+        return probe if probe is not None else self._sample_probe()
+
+    def check(self, config: ScenarioConfig) -> None:
+        """Raise ``ValueError`` unless ``config`` shapes these draws."""
+        for name in DRAW_FIELDS:
+            mine, theirs = getattr(self.config, name), getattr(config, name)
+            if mine != theirs:
+                raise ValueError(
+                    f"{name} shapes the world's draws ({mine!r} != {theirs!r}); "
+                    "build a new SyntheticScenario instead"
+                )
+
+
+def _sample_exposures(
+    config: ScenarioConfig, popularity: np.ndarray, n: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    users = rng.integers(0, config.n_users, size=n)
+    items = rng.choice(config.n_items, size=n, p=popularity)
+    positions = rng.integers(0, config.position_count, size=n)
+    return users, items, positions
+
+
+def _click_affinity(draws, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+    return np.sum(draws.user_click[users] * draws.item_click[items], axis=1)
+
+
+def _conversion_affinity(
+    draws, users: np.ndarray, items: np.ndarray, click_affinity: np.ndarray
+) -> np.ndarray:
+    rho = draws.config.bias_strength
+    indep = np.sum(draws.user_indep[users] * draws.item_indep[items], axis=1)
+    return rho * click_affinity + np.sqrt(1 - rho**2) * indep
+
+
+class SyntheticScenario:
+    """A fully specified behaviour model; call :meth:`generate`.
+
+    The scenario object itself is the "world": the online simulator
+    (:mod:`repro.simulation`) queries :meth:`true_ctr` / :meth:`true_cvr`
+    to roll out user sessions against models under test.
+
+    A world is its :class:`WorldDraws` plus the intercepts calibrated on
+    them for ``config``'s target rates.  ``draws`` (normally reached
+    through :meth:`drifted`) reuses another world's draws, which must
+    have been made for a config agreeing on every :data:`DRAW_FIELDS`
+    field.
+    """
+
+    def __init__(
+        self, config: ScenarioConfig, draws: Optional[WorldDraws] = None
+    ) -> None:
+        if draws is None:
+            draws = WorldDraws(config)
+        else:
+            draws.check(config)
+        self.config = config
+        self.draws = draws
+        self.user_click = draws.user_click
+        self.item_click = draws.item_click
+        self.user_indep = draws.user_indep
+        self.item_indep = draws.item_indep
+        self.user_conv = draws.user_conv
+        self.item_conv = draws.item_conv
+        self.user_click_base = draws.user_click_base
+        self.item_click_base = draws.item_click_base
+        self.user_conv_base = draws.user_conv_base
+        self.item_conv_base = draws.item_conv_base
+        self.item_popularity = draws.item_popularity
+        self.item_delay_scale = draws.item_delay_scale
+        self._bucket_edges = draws.bucket_edges
+        self._calibrate()
         self.schema: FeatureSchema = paper_like_schema(
             n_users=config.n_users,
             n_items=config.n_items,
@@ -266,19 +424,30 @@ class SyntheticScenario:
             include_wide=config.include_wide_features,
         )
 
+    def drifted(self, config: ScenarioConfig) -> "SyntheticScenario":
+        """This world under ``config``: same draws, recalibrated intercepts.
+
+        Bit-identical to ``SyntheticScenario(config)`` at a fraction of
+        the cost -- only the intercept bisections re-run.  Raises
+        ``ValueError`` naming the field when ``config`` differs from
+        this world's in a field that shapes the draws (see
+        :data:`DRAW_FIELDS`).
+        """
+        return SyntheticScenario(config, self.draws)
+
     # ------------------------------------------------------------------
     # True behaviour model (oracle)
     # ------------------------------------------------------------------
     def click_affinity(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Latent click affinity (the signal behind the CTR logit)."""
-        return np.sum(self.user_click[users] * self.item_click[items], axis=1)
+        return _click_affinity(self, users, items)
 
     def conversion_affinity(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Latent conversion affinity: a rho-mix of click affinity and an
         independent component -- the MNAR correlation, pairwise exact."""
-        rho = self.config.bias_strength
-        indep = np.sum(self.user_indep[users] * self.item_indep[items], axis=1)
-        return rho * self.click_affinity(users, items) + np.sqrt(1 - rho**2) * indep
+        return _conversion_affinity(
+            self, users, items, self.click_affinity(users, items)
+        )
 
     def sample_hidden(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw the per-exposure hidden confounder ``h ~ N(0, 1)``."""
@@ -297,8 +466,13 @@ class SyntheticScenario:
         evaluates at ``h = 0`` (the feature-conditional median).
         """
         base = self.user_click_base[users] + self.item_click_base[items]
+        return self._click_logit(
+            self.click_affinity(users, items), base, positions, hidden
+        )
+
+    def _click_logit(self, affinity, base, positions, hidden):
         pos_term = -self.config.position_bias * positions
-        logit = self.config.logit_scale * self.click_affinity(users, items) + base + pos_term
+        logit = self.config.logit_scale * affinity + base + pos_term
         if hidden is not None:
             logit = logit + self.config.hidden_confounder_click * hidden
         return logit
@@ -316,7 +490,12 @@ class SyntheticScenario:
         an attentive user both clicks more and converts more.
         """
         base = self.user_conv_base[users] + self.item_conv_base[items]
-        logit = self.config.logit_scale * self.conversion_affinity(users, items) + base
+        return self._conversion_logit(
+            self.conversion_affinity(users, items), base, hidden
+        )
+
+    def _conversion_logit(self, affinity, base, hidden):
+        logit = self.config.logit_scale * affinity + base
         if hidden is not None:
             logit = logit + self.config.hidden_confounder_conversion * hidden
         return logit
@@ -333,11 +512,14 @@ class SyntheticScenario:
         so their affinity mixes conversion affinity (dominant -- users
         cart what they will buy) with click affinity.
         """
-        affinity = 0.7 * self.conversion_affinity(users, items) + 0.3 * self.click_affinity(
-            users, items
-        )
-        base = 0.5 * (self.user_conv_base[users] + self.item_conv_base[items])
-        logit = self.config.logit_scale * affinity + base
+        click = self.click_affinity(users, items)
+        conversion = _conversion_affinity(self, users, items, click)
+        base = self.user_conv_base[users] + self.item_conv_base[items]
+        return self._action_logit(conversion, click, base, hidden)
+
+    def _action_logit(self, conversion_affinity, click_affinity, conv_base, hidden):
+        affinity = 0.7 * conversion_affinity + 0.3 * click_affinity
+        logit = self.config.logit_scale * affinity + 0.5 * conv_base
         if hidden is not None:
             logit = logit + 0.5 * self.config.hidden_confounder_conversion * hidden
         return logit
@@ -404,61 +586,38 @@ class SyntheticScenario:
         return 1.0 - np.exp(-elapsed / self.item_delay_scale[items])
 
     # ------------------------------------------------------------------
-    def _sample_exposures(
-        self, n: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        users = rng.integers(0, self.config.n_users, size=n)
-        items = rng.choice(self.config.n_items, size=n, p=self.item_popularity)
-        positions = rng.integers(0, self.config.position_count, size=n)
-        return users, items, positions
-
     def _calibrate(self) -> None:
-        """Calibrate CTR and CVR intercepts on a probe exposure sample."""
-        rng = np.random.default_rng(self.config.seed + 101)
-        probe = max(50_000, self.config.n_train)
-        users, items, positions = self._sample_exposures(probe, rng)
-        hidden = self.sample_hidden(probe, rng)
-        self._ctr_intercept = 0.0
-        ctr_logits = self.click_logit(users, items, positions, hidden)
+        """Calibrate the CTR, CVR and action intercepts on the probe."""
+        probe = self.draws.probe()
+        hidden = probe.hidden
+        ctr_logits = self._click_logit(
+            probe.click_affinity, probe.click_base, probe.positions, hidden
+        )
         self._ctr_intercept = calibrate_intercept(ctr_logits, self.config.target_ctr)
         # Calibrate CVR *inside the click space*: weight each probe
         # exposure by its click propensity, which is the expected
         # click-space composition (this is where the hidden confounder
         # enters -- attentive exposures are over-represented in O).
         click_propensity = _sigmoid(ctr_logits + self._ctr_intercept)
-        cvr_logits = self.conversion_logit(users, items, hidden)
+        cvr_logits = self._conversion_logit(
+            probe.conversion_affinity, probe.conv_base, hidden
+        )
         self._cvr_intercept = calibrate_intercept(
             cvr_logits, self.config.target_cvr_given_click, weights=click_propensity
         )
         self._action_intercept = 0.0
         if self.config.include_micro_actions:
-            action_logits = self.action_logit(users, items, hidden)
+            action_logits = self._action_logit(
+                probe.conversion_affinity,
+                probe.click_affinity,
+                probe.conv_base,
+                hidden,
+            )
             self._action_intercept = calibrate_intercept(
                 action_logits,
                 self.config.target_action_given_click,
                 weights=click_propensity,
             )
-        # Freeze bucket edges on the probe population.
-        probe_rng = np.random.default_rng(self.config.seed + 202)
-        noise = self.config.affinity_noise
-        self._bucket_edges = {
-            "user_segment": _quantile_edges(self.user_click[users, 0], 16),
-            "user_activity": _quantile_edges(self.user_click_base[users], 8),
-            "item_category": _quantile_edges(self.item_conv[items, 0], 12),
-            "item_popularity": _quantile_edges(
-                self.item_popularity[items] + 1e-12 * items, 8
-            ),
-            "click_affinity_bucket": _quantile_edges(
-                self.click_affinity(users, items)
-                + noise * probe_rng.normal(size=len(users)),
-                20,
-            ),
-            "conv_affinity_bucket": _quantile_edges(
-                self.conversion_affinity(users, items)
-                + noise * probe_rng.normal(size=len(users)),
-                20,
-            ),
-        }
 
     # ------------------------------------------------------------------
     # Feature engineering (what the models are allowed to see)
@@ -527,7 +686,9 @@ class SyntheticScenario:
         cfg = self.config
         rng = np.random.default_rng(cfg.seed + 7)
         total = cfg.n_train + cfg.n_test
-        users, items, positions = self._sample_exposures(total, rng)
+        users, items, positions = _sample_exposures(
+            cfg, self.item_popularity, total, rng
+        )
         hidden = self.sample_hidden(total, rng)
 
         ctr = self.true_ctr(users, items, positions, hidden)

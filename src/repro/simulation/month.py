@@ -17,9 +17,12 @@ Each simulated day, per tenant:
 
 1. **Drift applies.**  Overrides due today fold into the tenant's
    :class:`~repro.data.synthetic.ScenarioConfig` and the world is
-   rebuilt.  Rebuilding recalibrates intercepts but never re-draws
-   latent vectors (same seed, same draw shapes), so features stay
-   bit-identical across drift -- only behaviour moves.
+   rebuilt with :meth:`~repro.data.synthetic.SyntheticScenario.drifted`:
+   the new world shares every draw of the old one (latent vectors,
+   base rates, delay scales, bucket edges) and only re-runs the
+   intercept calibration, so features stay bit-identical across drift
+   -- only behaviour moves -- and a rebuild costs a recalibration, not
+   a new world.
 2. **Traffic serves** through the fleet (power-of-two routing, hedged
    retries, optional chaos-drill faults layered on), and the served
    pages -- plus a small policy-free exploration slice, the sliver of
@@ -435,6 +438,25 @@ def _concat_datasets(parts: Sequence[InteractionDataset]) -> InteractionDataset:
 
 
 @dataclass
+class _ModelFactory:
+    """Builds a fresh model against a tenant's *current* serving schema.
+
+    The tenant's lifecycle manager, fleet loads and retrains all call
+    it; after catalog churn grows ``schema``, registry loads and
+    retrains automatically target the grown vocabulary.  It holds no
+    reference back to the tenant, so a finished month is freed by
+    reference counting rather than waiting for the cycle collector.
+    """
+
+    model_name: str
+    schema: FeatureSchema
+    model_config: ModelConfig
+
+    def __call__(self):
+        return build_model(self.model_name, self.schema, self.model_config)
+
+
+@dataclass
 class _Tenant:
     """Everything one tenant carries through the month."""
 
@@ -444,14 +466,13 @@ class _Tenant:
     world_base: object  # ScenarioConfig with catalog headroom
     world: SyntheticScenario
     behavior: BehaviorSimulator
-    schema: FeatureSchema
+    factory: _ModelFactory
     vocab: int
     active_items: int
     registry: ModelRegistry
     manager: ModelLifecycleManager
     clock: _TickClock
     train_config: TrainConfig
-    model_config: ModelConfig
     calibration: CalibrationMonitor
     fleet: Optional[ServingFleet] = None
     drill: Optional[FleetChaosDrill] = None
@@ -469,17 +490,6 @@ class _Tenant:
     #: (rollback across a vocabulary growth is a shape mismatch).
     version_vocab: Dict[str, int] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
-
-    _model_name: str = "dcmt"
-
-    def factory(self):
-        """Build a fresh model against the *current* serving schema.
-
-        The closure nature matters: after catalog churn grows
-        ``self.schema``, registry loads and retrains automatically
-        target the grown vocabulary.
-        """
-        return build_model(self._model_name, self.schema, self.model_config)
 
     def bump(self, key: str, by: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + by
@@ -544,7 +554,7 @@ class MonthSimulation:
                 e.new_items for e in events if e.kind == CATALOG_CHURN
             )
             # Build the world ONCE with catalog headroom: rebuilds under
-            # drift then keep every latent draw bit-identical, and churn
+            # drift then share every draw (``drifted``), and churn
             # becomes pure vocabulary growth.
             world_base = base.with_overrides(n_items=base.n_items + headroom)
             world = SyntheticScenario(world_base)
@@ -562,37 +572,6 @@ class MonthSimulation:
                 seed=cfg.seed + order[name],
             )
             registry = ModelRegistry(self.workdir / f"registry_{name}")
-            tenant = _Tenant(
-                name=name,
-                index=order[name],
-                events=events,
-                world_base=world_base,
-                world=world,
-                behavior=BehaviorSimulator(world),
-                schema=schema,
-                vocab=base.n_items,
-                active_items=base.n_items,
-                registry=registry,
-                manager=None,  # set below (factory closes over tenant)
-                clock=_TickClock(),
-                train_config=train_config,
-                model_config=model_config,
-                calibration=CalibrationMonitor(
-                    f"{name}:ctr",
-                    CalibrationThresholds(
-                        gap_warn=cfg.calibration_gap_warn,
-                        gap_trip=cfg.calibration_gap_trip,
-                        min_samples=cfg.calibration_min_samples,
-                    ),
-                    window=cfg.calibration_window,
-                    # Serving traffic carries a steady-state selection
-                    # gap (ranking selects predictions that overshoot);
-                    # alert on deviation from the champion's own
-                    # baseline, not on the selection effect itself.
-                    auto_baseline=True,
-                ),
-            )
-            tenant._model_name = cfg.model_name
             # The gate's shadow-drift veto and the canary's candidate
             # sentinel compare the candidate's predictions against the
             # *previous* champion's frozen reference.  In a month whose
@@ -609,9 +588,10 @@ class MonthSimulation:
                 ks_trip=1.5,
                 min_samples=1,
             )
-            tenant.manager = ModelLifecycleManager(
+            factory = _ModelFactory(cfg.model_name, schema, model_config)
+            manager = ModelLifecycleManager(
                 registry,
-                tenant.factory,
+                factory,
                 gate=PromotionGate(
                     GatePolicy(
                         max_auc_regression=0.02,
@@ -623,9 +603,38 @@ class MonthSimulation:
                     traffic_fraction=cfg.canary_traffic_fraction,
                     min_requests=cfg.canary_min_requests,
                     max_degraded_fraction=0.25,
-                    salt=cfg.seed + tenant.index,
+                    salt=cfg.seed + order[name],
                 ),
                 canary_drift_thresholds=unbinding_drift,
+            )
+            tenant = _Tenant(
+                name=name,
+                index=order[name],
+                events=events,
+                world_base=world_base,
+                world=world,
+                behavior=BehaviorSimulator(world),
+                factory=factory,
+                vocab=base.n_items,
+                active_items=base.n_items,
+                registry=registry,
+                manager=manager,
+                clock=_TickClock(),
+                train_config=train_config,
+                calibration=CalibrationMonitor(
+                    f"{name}:ctr",
+                    CalibrationThresholds(
+                        gap_warn=cfg.calibration_gap_warn,
+                        gap_trip=cfg.calibration_gap_trip,
+                        min_samples=cfg.calibration_min_samples,
+                    ),
+                    window=cfg.calibration_window,
+                    # Serving traffic carries a steady-state selection
+                    # gap (ranking selects predictions that overshoot);
+                    # alert on deviation from the champion's own
+                    # baseline, not on the selection effect itself.
+                    auto_baseline=True,
+                ),
             )
             self.tenants.append(tenant)
 
@@ -879,7 +888,7 @@ class MonthSimulation:
         # stored (pre-growth) shape before the table grows in place.
         champion = t.manager.champion_model()
         t.vocab = t.active_items
-        t.schema = _schema_with_item_vocab(t.world.schema, t.vocab)
+        t.factory.schema = _schema_with_item_vocab(t.world.schema, t.vocab)
         champion.embedding.tables["item_id"].grow(t.vocab - old_vocab)
         decision = t.manager.adopt(
             champion,
@@ -1095,7 +1104,7 @@ class MonthSimulation:
                 t.active_items += event.new_items
                 changed = True
         if any(e.overrides for e in due):
-            t.world = SyntheticScenario(
+            t.world = t.world.drifted(
                 config_for_day(t.world_base, t.events, day)
             )
             t.behavior = BehaviorSimulator(t.world)

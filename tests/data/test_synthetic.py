@@ -1,15 +1,22 @@
 """Tests for the synthetic behaviour-model generator."""
 
+import dataclasses
+import functools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.data.scenarios import SCENARIO_PRESETS, load_scenario, scenario_config
 from repro.data.stats import dataset_statistics, selection_bias_summary
 from repro.data.synthetic import (
+    DRAW_FIELDS,
     ScenarioConfig,
     SyntheticScenario,
+    _sigmoid,
     calibrate_intercept,
 )
 
@@ -235,3 +242,209 @@ def _generate_small(seed=5):
     scenario = SyntheticScenario(small_config(seed=seed))
     train, test = scenario.generate()
     return train, test, scenario
+
+
+# ---------------------------------------------------------------------------
+# Drift rebuilds: ``drifted`` shares the draws and only recalibrates
+# ---------------------------------------------------------------------------
+def _drift_config(**overrides):
+    delays = dict(conversion_delay_mean_hours=24.0, conversion_delay_item_spread=0.6)
+    return small_config(**{**delays, **overrides})
+
+
+@functools.lru_cache(maxsize=1)
+def _drift_parent():
+    return SyntheticScenario(_drift_config())
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _dataset_arrays(ds):
+    out = {f"sparse.{k}": v for k, v in ds.sparse.items()}
+    out.update({f"dense.{k}": v for k, v in ds.dense.items()})
+    for name in (
+        "clicks", "conversions", "oracle_ctr", "oracle_cvr",
+        "oracle_conversion", "actions", "exposure_times", "conversion_times",
+    ):
+        out[name] = getattr(ds, name)
+    return out
+
+
+def _assert_same_world(a, b):
+    """``a`` and ``b`` agree bit for bit on everything a world exposes."""
+    for name in ("_ctr_intercept", "_cvr_intercept", "_action_intercept"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert a._bucket_edges.keys() == b._bucket_edges.keys()
+    for key in a._bucket_edges:
+        assert _same_bits(a._bucket_edges[key], b._bucket_edges[key]), key
+    assert _same_bits(a.item_delay_scale, b.item_delay_scale)
+    assert a.schema == b.schema
+    for part_a, part_b in zip(a.generate(), b.generate()):
+        cols_a, cols_b = _dataset_arrays(part_a), _dataset_arrays(part_b)
+        assert cols_a.keys() == cols_b.keys()
+        for key in cols_a:
+            if cols_a[key] is None:
+                assert cols_b[key] is None, key
+            else:
+                assert _same_bits(cols_a[key], cols_b[key]), key
+    rng = np.random.default_rng(11)
+    cfg = a.config
+    users = rng.integers(0, cfg.n_users, size=300)
+    items = rng.integers(0, cfg.n_items, size=300)
+    positions = rng.integers(0, cfg.position_count, size=300)
+    hidden = rng.normal(size=300)
+    feats_a = a.features_for(users, items, positions, np.random.default_rng(4))
+    feats_b = b.features_for(users, items, positions, np.random.default_rng(4))
+    for cols_a, cols_b in zip(feats_a, feats_b):
+        assert cols_a.keys() == cols_b.keys()
+        for key in cols_a:
+            assert _same_bits(cols_a[key], cols_b[key]), key
+    for fn, args in (
+        ("true_ctr", (users, items, positions, hidden)),
+        ("true_ctr", (users, items, positions)),
+        ("true_cvr", (users, items, hidden)),
+        ("true_action_rate", (users, items, hidden)),
+    ):
+        assert _same_bits(getattr(a, fn)(*args), getattr(b, fn)(*args)), fn
+
+
+class TestDriftedWorld:
+    """A drift rebuild equals a fresh build of the drifted config."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(target=st.floats(min_value=0.005, max_value=0.6))
+    def test_ctr_season(self, target):
+        cfg = _drift_config(target_ctr=target)
+        _assert_same_world(_drift_parent().drifted(cfg), SyntheticScenario(cfg))
+
+    @settings(max_examples=6, deadline=None)
+    @given(bias=st.floats(min_value=0.0, max_value=3.0))
+    def test_position_bias_shift(self, bias):
+        cfg = _drift_config(position_bias=bias)
+        _assert_same_world(_drift_parent().drifted(cfg), SyntheticScenario(cfg))
+
+    @settings(max_examples=6, deadline=None)
+    @given(factor=st.floats(min_value=0.0, max_value=3.0))
+    def test_confounder_shift(self, factor):
+        cfg = _drift_config(
+            hidden_confounder_click=1.5 * factor,
+            hidden_confounder_conversion=1.5 * factor,
+        )
+        _assert_same_world(_drift_parent().drifted(cfg), SyntheticScenario(cfg))
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            f.name
+            for f in dataclasses.fields(ScenarioConfig)
+            if f.name not in DRAW_FIELDS
+        ],
+    )
+    def test_every_other_field_only_recalibrates(self, field):
+        """Any field outside DRAW_FIELDS may move; the rebuild still
+        equals a fresh build (pins that DRAW_FIELDS is complete)."""
+        value = getattr(_drift_config(), field)
+        if isinstance(value, bool):
+            changed = not value
+        elif isinstance(value, str):
+            changed = value + "-drifted"
+        elif isinstance(value, int):
+            changed = value + 1
+        else:
+            changed = value * 1.1
+        cfg = _drift_config(**{field: changed})
+        _assert_same_world(_drift_parent().drifted(cfg), SyntheticScenario(cfg))
+
+    def test_shares_the_parent_draws(self):
+        parent = _drift_parent()
+        child = parent.drifted(_drift_config(target_ctr=0.07, position_bias=1.1))
+        grandchild = child.drifted(_drift_config(hidden_confounder_click=3.3))
+        for world in (child, grandchild):
+            assert world.draws is parent.draws
+            for name in (
+                "user_click", "item_click", "user_indep", "item_indep",
+                "user_conv", "item_conv", "user_click_base",
+                "item_click_base", "user_conv_base", "item_conv_base",
+                "item_popularity", "item_delay_scale", "_bucket_edges",
+            ):
+                assert getattr(world, name) is getattr(parent, name), name
+        assert child._ctr_intercept != parent._ctr_intercept
+
+    @pytest.mark.parametrize("field", DRAW_FIELDS)
+    def test_draw_shaping_field_is_refused(self, field):
+        value = getattr(_drift_config(), field)
+        changed = value + 1 if isinstance(value, int) else value * 0.9
+        with pytest.raises(ValueError, match=field):
+            _drift_parent().drifted(_drift_config(**{field: changed}))
+
+    def test_mismatched_draws_are_refused_at_construction(self):
+        with pytest.raises(ValueError, match="seed"):
+            SyntheticScenario(_drift_config(seed=6), _drift_parent().draws)
+
+
+# ---------------------------------------------------------------------------
+# Sigmoid and calibration bit identity
+# ---------------------------------------------------------------------------
+def _masked_sigmoid(x):
+    """The boolean-mask gather/scatter sigmoid ``_sigmoid`` replaced."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _assert_sigmoid_matches(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _sigmoid(x)
+        want = _masked_sigmoid(x)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestSigmoid:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.integers(min_value=0, max_value=64),
+            elements=st.floats(allow_nan=True, allow_infinity=True),
+        )
+    )
+    def test_matches_masked_formula(self, x):
+        _assert_sigmoid_matches(x)
+
+    def test_special_values(self):
+        _assert_sigmoid_matches(
+            np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 709.5, -709.5,
+                      745.2, -745.2, 1e300, -1e300, 5e-324, -5e-324])
+        )
+        assert _sigmoid(np.array([0.0, -0.0])).tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_integer_input(self, dtype):
+        _assert_sigmoid_matches(np.arange(-800, 801, 7).astype(dtype))
+
+    @pytest.mark.parametrize("width", [16, 512, 50_000])
+    def test_widths(self, width):
+        x = np.random.default_rng(width).normal(scale=30.0, size=width)
+        _assert_sigmoid_matches(x)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        target=st.floats(min_value=1e-4, max_value=0.999),
+    )
+    def test_unweighted_calibration_equals_unit_weights(self, seed, target):
+        logits = np.random.default_rng(seed).normal(scale=3.0, size=4096)
+        assert calibrate_intercept(logits, target) == calibrate_intercept(
+            logits, target, weights=np.ones_like(logits)
+        )

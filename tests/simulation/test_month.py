@@ -6,7 +6,9 @@ enough for CI, large enough that every drift kind lands, the lifecycle
 retrains at least once, and the oracle-regret comparison is meaningful.
 """
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from repro.simulation.month import (
     MANAGED,
     NEVER_RETRAIN,
     MonthConfig,
+    MonthSimulation,
     compare_month_policies,
     run_month,
 )
@@ -358,6 +361,39 @@ class TestColdCacheChurn:
         )
         assert any(e.kind == "vocab_grown" for e in report.events)
         assert len(report.daily) == 2
+
+
+class TestBoundedState:
+    def test_finished_month_is_freed_by_reference_counting(self, tmp_path):
+        """No reference cycle holds a finished month: with the cycle
+        collector off, dropping the simulation frees every tenant's
+        world, fleet, lifecycle manager and registry at once."""
+        gc.collect()
+        gc.disable()
+        try:
+            sim = MonthSimulation(_smoke_config(days=2), workdir=tmp_path)
+            sim.run()
+            replica_worlds = [
+                replica.service.scenario
+                for t in sim.tenants
+                for replica in t.fleet.replicas
+            ]
+            refs = [
+                weakref.ref(obj)
+                for t in sim.tenants
+                for obj in (t.world, t.fleet, t.manager, t.registry)
+            ] + [weakref.ref(world) for world in replica_worlds]
+            # Drift rebuilds share the first world's draws.
+            assert all(
+                t.world.draws is replica.service.scenario.draws
+                for t in sim.tenants
+                for replica in t.fleet.replicas
+            )
+            del sim, replica_worlds
+            alive = [ref() is not None for ref in refs]
+        finally:
+            gc.enable()
+        assert not any(alive)
 
 
 class TestFaultLayer:
